@@ -695,8 +695,9 @@ def _cmd_fig3(args) -> int:
     print(f"rounds to {args.target:.0%}: {rounds_to_target(histories, args.target)}")
     times = seconds_to_target(histories, args.target)
     if any(seconds is not None for seconds in times.values()):
-        # Only meaningful when rounds carry simulated/wall-clock pricing
-        # (a systems-configured run or a FleetSimCallback/WallClockCallback).
+        # Only meaningful when rounds carry simulated fleet seconds (a
+        # systems-configured run, a FleetSimCallback, or a stored history
+        # whose rounds carry the legacy wall_clock_seconds field).
         print(f"simulated seconds to {args.target:.0%}: {times}")
     return 0
 

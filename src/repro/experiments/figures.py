@@ -247,7 +247,7 @@ def fig3_time_series(
     rounds priced by the fleet simulator (``simulated_seconds``, stamped
     by a ``systems``-configured run or a
     :class:`~repro.systems.callback.FleetSimCallback`), falling back to
-    legacy ``wall_clock_seconds`` annotations.
+    the legacy ``wall_clock_seconds`` field of older stored histories.
     """
     return {
         name: simulated_time_curve(history) for name, history in histories.items()

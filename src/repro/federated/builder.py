@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping
 
 from ..data import DataConfig, build_client_data, load_dataset
 from ..data.registry import get_dataset, get_partitioner
@@ -86,21 +86,6 @@ _PR4_SCENARIO_FIELDS = (
     "participation_probs",
     "profiles",
     "profile_participation",
-)
-
-#: ``systems`` fields the PR-5 schema carried.  Newer fields (the pricing
-#: mode) join the canonical hash payload only when they leave their
-#: defaults, so every PR-5-expressible systems section keeps its
-#: historical ``stable_hash``.
-_PR5_SYSTEMS_FIELDS = (
-    "round_policy",
-    "deadline_seconds",
-    "buffer_size",
-    "staleness_exponent",
-    "server_overhead_seconds",
-    "flops_per_example",
-    "examples_per_round",
-    "jitter",
 )
 
 #: Pre-scenario flat field names: the exact ``data`` fields the PR-3 flat
@@ -172,6 +157,11 @@ class FederationConfig:
         for section, section_cls in _SECTION_TYPES.items():
             value = getattr(self, section)
             if isinstance(value, Mapping):
+                if section == "systems":
+                    # Exported configs carry a retired ``pricing`` key that
+                    # chose between two engines pricing identically: drop
+                    # it, whatever its value, so they load and hash as before.
+                    value = {k: v for k, v in value.items() if k != "pricing"}
                 object.__setattr__(self, section, section_cls(**value))
         get_dataset(self.dataset)  # raises KeyError for unknown datasets
         get_partitioner(self.data.partition)  # raises KeyError if unknown
@@ -218,10 +208,6 @@ class FederationConfig:
         unknown = set(data) - known
         if unknown:
             raise KeyError(f"unknown FederationConfig fields: {sorted(unknown)}")
-        for section, section_cls in _SECTION_TYPES.items():
-            value = data.get(section)
-            if isinstance(value, Mapping):
-                data[section] = section_cls(**value)
         return cls(**data)
 
     def to_json(self, indent: int = 2) -> str:
@@ -287,18 +273,7 @@ class FederationConfig:
                 or getattr(self.scenario, name) != getattr(scenario_defaults, name)
             }
         if self.systems is not None:
-            # Same only-when-non-default rule as the scenario section:
-            # post-PR-5 systems fields (the pricing mode) join the payload
-            # only when set, so PR-5-expressible systems sections keep
-            # their historical hash.
-            systems_defaults = SystemsConfig()
-            payload["systems"] = {
-                name: getattr(self.systems, name)
-                for name in SystemsConfig.__dataclass_fields__
-                if name in _PR5_SYSTEMS_FIELDS
-                or getattr(self.systems, name)
-                != getattr(systems_defaults, name)
-            }
+            payload["systems"] = asdict(self.systems)
         if self.compute != ComputeConfig():
             # The compute engine choice joins the hash only when it leaves
             # the historical eager default, so every pre-compute-section
@@ -462,7 +437,6 @@ def build_fleet_simulator(
         server_overhead_seconds=systems.server_overhead_seconds,
         jitter=systems.jitter,
         seed=config.seed,
-        pricing=systems.pricing,
     )
 
 

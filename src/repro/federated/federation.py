@@ -70,9 +70,10 @@ class Federation:
         """Execute the run, dispatching ``callbacks`` around every round.
 
         A config with a ``systems`` section gets a
-        :class:`~repro.systems.callback.FleetSimCallback` appended
-        automatically (unless the caller passed one), so every round
-        record carries its simulated fleet seconds and stragglers.
+        :class:`~repro.systems.callback.FleetSimCallback` put *first*
+        (unless the caller passed one), so every round record carries its
+        simulated fleet seconds and stragglers before the caller's
+        callbacks log or checkpoint it.
 
         The whole run executes under the config's ``compute:`` section —
         the default eager engine, or lazy graph recording through the
@@ -82,7 +83,7 @@ class Federation:
         if self._trainer.fleet_sim is not None and not any(
             isinstance(callback, FleetSimCallback) for callback in callbacks
         ):
-            callbacks.append(FleetSimCallback())
+            callbacks.insert(0, FleetSimCallback())
         with compute_scope(self.config.compute):
             return self._trainer.run(callbacks=callbacks or None)
 

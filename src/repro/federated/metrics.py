@@ -20,9 +20,10 @@ class RoundRecord:
     available, documented even-split fallback included.
 
     ``simulated_seconds`` and ``stragglers`` are stamped by the fleet
-    simulator (:class:`~repro.systems.callback.FleetSimCallback`);
-    ``wall_clock_seconds`` is the legacy
-    :class:`~repro.federated.callbacks.WallClockCallback` annotation.
+    simulator (:class:`~repro.systems.callback.FleetSimCallback`).
+    ``wall_clock_seconds`` is a read-only legacy field: nothing sets it
+    any more, but stored histories that carry it still load and price
+    (see :func:`repro.systems.report.record_seconds`).
     """
 
     round_index: int
@@ -34,7 +35,7 @@ class RoundRecord:
     mean_channel_sparsity: float = 0.0  # avg channel sparsity over clients
     uploaded_bytes: float = 0.0
     downloaded_bytes: float = 0.0
-    wall_clock_seconds: Optional[float] = None  # simulated seconds (WallClockCallback)
+    wall_clock_seconds: Optional[float] = None  # legacy stored round seconds
     client_uploaded_bytes: Optional[Dict[int, float]] = None
     client_downloaded_bytes: Optional[Dict[int, float]] = None
     simulated_seconds: Optional[float] = None  # fleet-simulator round duration

@@ -11,11 +11,10 @@ into a first-class, *simulated-time* axis for every experiment:
 * :mod:`~repro.systems.fleet` — :class:`DeviceProfile` hardware classes
   and the :func:`register_fleet` registry (``tiers``/``uniform``/
   ``profile-list``): the single owner of the client→device assignment
-  that used to be duplicated across the wall-clock model and the
-  availability sampler;
-* :mod:`~repro.systems.timeline` — per-client download→compute→upload
-  timelines priced from each client's *actual* bytes (Sub-FedAvg mask
-  sizes, compressed updates) and conv FLOPs;
+  that round pricing and the availability sampler share;
+* :mod:`~repro.systems.timeline` — download→compute→upload timelines
+  for a whole cohort, priced as arrays from each client's *actual* bytes
+  (Sub-FedAvg mask sizes, compressed updates) and conv FLOPs;
 * :mod:`~repro.systems.rounds` — the :func:`register_round_policy`
   registry (``synchronous``/``deadline``/``async-buffer``) and the
   :class:`FleetSimulator` engine: plan a round at its start (busy
@@ -49,14 +48,7 @@ without cycles.
 """
 
 from .clock import SimClock
-from .events import (
-    COMPUTE_DONE,
-    DOWNLOAD_DONE,
-    EVENT_KINDS,
-    ROUND_CLOSED,
-    UPLOAD_DONE,
-    Event,
-)
+from .events import EVENT_KINDS, UPLOAD_DONE, Event
 from .fleet import (
     DEVICE_PROFILES,
     EDGE_PHONE,
@@ -79,8 +71,6 @@ from .timeline import (
     RoundTimelines,
     TrafficMap,
     build_round_timelines,
-    build_timelines,
-    phase_seconds,
 )
 from .rounds import (
     AsyncBufferPolicy,
@@ -95,7 +85,6 @@ from .rounds import (
     RoundPolicy,
     RoundPolicySpec,
     SynchronousPolicy,
-    VectorDecision,
     available_round_policies,
     build_round_policy,
     get_round_policy,
@@ -117,10 +106,7 @@ __all__ = [
     "SimClock",
     "Event",
     "EVENT_KINDS",
-    "DOWNLOAD_DONE",
-    "COMPUTE_DONE",
     "UPLOAD_DONE",
-    "ROUND_CLOSED",
     "DeviceProfile",
     "DEVICE_PROFILES",
     "EDGE_PHONE",
@@ -139,8 +125,6 @@ __all__ = [
     "ClientTimeline",
     "RoundTimelines",
     "TrafficMap",
-    "phase_seconds",
-    "build_timelines",
     "build_round_timelines",
     "RoundPolicy",
     "RoundPolicySpec",
@@ -148,7 +132,6 @@ __all__ = [
     "DeadlinePolicy",
     "AsyncBufferPolicy",
     "PolicyDecision",
-    "VectorDecision",
     "Delivery",
     "LazyDeliveries",
     "RoundPlan",

@@ -17,8 +17,14 @@ Two ways to use it:
 * **Post-hoc annotation** — wrap any :class:`FleetSimulator` and pass the
   callback to ``run(callbacks=[...])`` on a run *without* a ``systems``
   section: each round is observed from its record alone (no training
-  effect), like :class:`~repro.federated.callbacks.WallClockCallback`
-  but with per-client bytes, device fleets and round policies.
+  effect), priced from per-client bytes on the simulator's fleet under
+  its round policy.  A synchronous simulator is the classic
+  slowest-client-plus-overhead wall-clock model.
+
+Callbacks run in list order, so a callback that reads the stamped
+fields (:class:`~repro.federated.callbacks.ProgressLogger`,
+:class:`~repro.federated.callbacks.CheckpointCallback`) must come after
+this one; ``Federation.run`` puts its automatic instance first.
 
 The class deliberately has no ``repro.federated`` imports (callbacks are
 duck-typed), keeping :mod:`repro.systems` a leaf package.

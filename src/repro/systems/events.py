@@ -1,9 +1,10 @@
 """Event records for the fleet simulator.
 
 An :class:`Event` is one timestamped state change popped off the
-:class:`~repro.systems.clock.SimClock` queue: a client finishing a
-download, a local-compute pass, or an upload (the *arrival* the server
-reacts to), or the server closing a round.  Events are immutable and
+:class:`~repro.systems.clock.SimClock` queue: a client's upload arriving
+at the server.  The simulator prices each round's cohort as arrays and
+schedules events only for async stragglers that carry across a round
+boundary, so the upload arrival is the one kind.  Events are immutable and
 totally ordered by ``(time, seq)`` — ``seq`` is the monotonically
 increasing schedule counter the clock assigns, so simultaneous events
 drain in the deterministic order they were scheduled, never in dict or
@@ -15,16 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Per-client phase completions, in the order a client passes through them.
-DOWNLOAD_DONE = "download-done"
-COMPUTE_DONE = "compute-done"
+#: A client's upload arrived at the server.
 UPLOAD_DONE = "upload-done"
 
-#: Server-side bookkeeping: the round-completion policy closed the round.
-ROUND_CLOSED = "round-closed"
-
-#: Every kind a :class:`SimClock` will schedule, in lifecycle order.
-EVENT_KINDS = (DOWNLOAD_DONE, COMPUTE_DONE, UPLOAD_DONE, ROUND_CLOSED)
+#: Every kind a :class:`SimClock` will schedule.
+EVENT_KINDS = (UPLOAD_DONE,)
 
 
 @dataclass(frozen=True, order=True)

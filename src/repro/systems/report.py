@@ -3,10 +3,9 @@
 The deployment-relevant question is not "how many rounds to X% accuracy"
 but "how many *seconds* on the target fleet".  These helpers read the
 ``simulated_seconds`` the fleet simulator stamped on each round record
-(falling back to the legacy ``wall_clock_seconds`` annotation when a run
-used :class:`~repro.federated.callbacks.WallClockCallback` instead), so
-every existing figure/table driver can report a time axis without caring
-which engine priced the rounds.
+(falling back to the legacy ``wall_clock_seconds`` field that older
+stored histories carry), so every figure/table driver can report a time
+axis, old histories included.
 """
 
 from __future__ import annotations

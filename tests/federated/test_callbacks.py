@@ -9,17 +9,25 @@ from repro.federated import (
     CallbackList,
     CheckpointCallback,
     EarlyStopping,
-    EDGE_PHONE,
     Federation,
     FederationConfig,
     LocalTrainConfig,
     ProgressLogger,
-    WallClockCallback,
-    WallClockModel,
+    ScenarioConfig,
+    SystemsConfig,
+)
+
+#: A two-tier fleet under a deadline policy: every round gets priced.
+DEADLINE_FLEET = dict(
+    scenario=ScenarioConfig(profiles=("edge-phone", "raspberry-pi")),
+    systems=SystemsConfig(
+        round_policy="deadline", deadline_seconds=1.0,
+        flops_per_example=1e6, examples_per_round=100.0,
+    ),
 )
 
 
-def tiny_federation(rounds=2, eval_every=0, algorithm="fedavg"):
+def tiny_federation(rounds=2, eval_every=0, algorithm="fedavg", **sections):
     config = FederationConfig(
         dataset="mnist",
         algorithm=algorithm,
@@ -31,6 +39,7 @@ def tiny_federation(rounds=2, eval_every=0, algorithm="fedavg"):
         seed=0,
         eval_every=eval_every,
         local=LocalTrainConfig(epochs=1, batch_size=10),
+        **sections,
     )
     return Federation.from_config(config)
 
@@ -181,16 +190,30 @@ class TestBuiltins:
         assert "round 1/2" not in out
         assert "round 2/2" in out
 
-    def test_wall_clock_annotates_records(self):
-        model = WallClockModel(
-            [EDGE_PHONE], flops_per_example=1e6, examples_per_round=40
+    def test_progress_logger_prints_simulated_seconds(self):
+        """The fleet simulator stamps each record before user callbacks run."""
+        stream = io.StringIO()
+        history = tiny_federation(rounds=2, **DEADLINE_FLEET).run(
+            callbacks=[ProgressLogger(stream=stream)]
         )
-        watcher = WallClockCallback(model)
-        history = tiny_federation(rounds=2).run(callbacks=[watcher])
-        assert len(watcher.round_seconds) == 2
-        assert watcher.total_seconds == pytest.approx(sum(watcher.round_seconds))
-        for record in history.rounds:
-            assert record.wall_clock_seconds == model.round_seconds(record)
+        lines = [line for line in stream.getvalue().splitlines() if "round " in line]
+        assert len(lines) == 2
+        for line, record in zip(lines, history.rounds):
+            assert f"t={record.simulated_seconds:.1f}s" in line
+
+    def test_checkpoint_holds_stamped_records(self, tmp_path):
+        from repro.federated import load_checkpoint
+
+        path = tmp_path / "ckpt.pkl"
+        live = tiny_federation(rounds=2, **DEADLINE_FLEET).run(
+            callbacks=[CheckpointCallback(path, every=1)]
+        )
+        restored = tiny_federation(rounds=2, **DEADLINE_FLEET)
+        assert load_checkpoint(path, restored.trainer) == 2
+        last = restored.history.rounds[-1]
+        assert last.simulated_seconds is not None
+        assert last.simulated_seconds == live.rounds[-1].simulated_seconds
+        assert last.stragglers == live.rounds[-1].stragglers
 
     def test_checkpoint_callback_resumes(self, tmp_path):
         path = tmp_path / "ckpt.pkl"

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.systems import (
-    COMPUTE_DONE,
-    DOWNLOAD_DONE,
-    UPLOAD_DONE,
-    Event,
-    SimClock,
-)
+from repro.systems import EVENT_KINDS, UPLOAD_DONE, Event, SimClock
 
 
 class TestEvent:
@@ -19,8 +13,11 @@ class TestEvent:
         assert early < late < tie_a
 
     def test_rejects_unknown_kind_and_negative_time(self):
+        assert EVENT_KINDS == (UPLOAD_DONE,)
         with pytest.raises(ValueError):
             Event(time=0.0, seq=0, kind="teleport")
+        with pytest.raises(ValueError):
+            Event(time=0.0, seq=0, kind="download-done")  # never scheduled
         with pytest.raises(ValueError):
             Event(time=-1.0, seq=0, kind=UPLOAD_DONE)
 
@@ -29,11 +26,11 @@ class TestSimClock:
     def test_pop_advances_now_in_time_order(self):
         clock = SimClock()
         clock.schedule(2.0, UPLOAD_DONE, client_id=1)
-        clock.schedule(1.0, DOWNLOAD_DONE, client_id=2)
+        clock.schedule(1.0, UPLOAD_DONE, client_id=2)
         first = clock.pop()
-        assert (first.kind, first.client_id, clock.now) == (DOWNLOAD_DONE, 2, 1.0)
+        assert (first.client_id, clock.now) == (2, 1.0)
         second = clock.pop()
-        assert (second.kind, clock.now) == (UPLOAD_DONE, 2.0)
+        assert (second.client_id, clock.now) == (1, 2.0)
 
     def test_simultaneous_events_drain_in_schedule_order(self):
         clock = SimClock()
@@ -44,17 +41,17 @@ class TestSimClock:
 
     def test_pop_until_drains_inclusive_and_advances(self):
         clock = SimClock()
-        clock.schedule(1.0, DOWNLOAD_DONE)
-        clock.schedule(2.0, COMPUTE_DONE)
-        clock.schedule(3.0, UPLOAD_DONE)
+        clock.schedule(1.0, UPLOAD_DONE, client_id=1)
+        clock.schedule(2.0, UPLOAD_DONE, client_id=2)
+        clock.schedule(3.0, UPLOAD_DONE, client_id=3)
         drained = clock.pop_until(2.0)
-        assert [event.kind for event in drained] == [DOWNLOAD_DONE, COMPUTE_DONE]
+        assert [event.client_id for event in drained] == [1, 2]
         assert clock.now == 2.0
-        assert len(clock) == 1  # the upload stays queued
+        assert len(clock) == 1  # the last upload stays queued
 
     def test_trace_records_every_pop(self):
         clock = SimClock()
-        clock.schedule(1.0, DOWNLOAD_DONE, client_id=7)
+        clock.schedule(1.0, UPLOAD_DONE, client_id=7)
         clock.pop_until(5.0)
         assert [event.client_id for event in clock.trace] == [7]
 
@@ -69,7 +66,7 @@ class TestSimClock:
         clock = SimClock()
         clock.schedule(1.0, UPLOAD_DONE, client_id=1)
         clock.schedule(2.0, UPLOAD_DONE, client_id=2)
-        clock.schedule(3.0, COMPUTE_DONE, client_id=1)
+        clock.schedule(3.0, UPLOAD_DONE, client_id=1)
         assert clock.discard(1) == 2
         assert [event.client_id for event in clock.pop_until(10.0)] == [2]
 
@@ -79,8 +76,8 @@ class TestSimClock:
 
     def test_identical_schedules_produce_identical_traces(self):
         def drive(clock):
-            clock.schedule(1.0, DOWNLOAD_DONE, client_id=0, round_index=1)
-            clock.schedule(1.0, DOWNLOAD_DONE, client_id=1, round_index=1)
+            clock.schedule(1.0, UPLOAD_DONE, client_id=0, round_index=1)
+            clock.schedule(1.0, UPLOAD_DONE, client_id=1, round_index=1)
             clock.schedule(2.5, UPLOAD_DONE, client_id=0, round_index=1)
             clock.pop_until(3.0)
             return list(clock.trace)

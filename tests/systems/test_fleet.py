@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.federated import AvailabilitySampler, ScenarioConfig, WallClockModel
+from repro.federated import AvailabilitySampler, ScenarioConfig
 from repro.systems import (
     DEVICE_PROFILES,
     EDGE_PHONE,
@@ -11,6 +11,7 @@ from repro.systems import (
     Fleet,
     available_fleets,
     build_fleet,
+    build_round_timelines,
     get_fleet,
     register_fleet,
     unregister_fleet,
@@ -132,19 +133,14 @@ class TestScenarioWiring:
 class TestSharedAssignment:
     """The satellite: one Fleet feeds both pricing and availability."""
 
-    def test_wall_clock_model_delegates_to_the_fleet(self):
-        profiles = (EDGE_PHONE, WORKSTATION)
-        model = WallClockModel(
-            profiles, flops_per_example=1e6, examples_per_round=100
-        )
-        fleet = Fleet(cycle=profiles)
-        for client_id in range(6):
-            assert model.profile_for(client_id) is fleet.profile_for(client_id)
-
-    def test_wall_clock_model_accepts_a_fleet_directly(self):
-        fleet = Fleet(cycle=(RASPBERRY_PI,))
-        model = WallClockModel(fleet, flops_per_example=1e6, examples_per_round=10)
-        assert model.profile_for(0) is RASPBERRY_PI
+    def test_round_pricing_reads_the_fleet_assignment(self):
+        fleet = Fleet(cycle=(EDGE_PHONE, WORKSTATION))
+        clients = tuple(range(6))
+        timelines = build_round_timelines(fleet, 1, 0.0, clients, {}, 1e6, 100)
+        for position, client_id in enumerate(clients):
+            profile = fleet.profile_for(client_id)
+            expected = 3.0 * 1e6 * 100 / profile.flops_per_second
+            assert timelines.compute_seconds[position] == expected
 
     def test_availability_sampler_consumes_the_same_fleet(self):
         fleet = Fleet(cycle=(EDGE_PHONE, RASPBERRY_PI))
@@ -171,8 +167,8 @@ class TestSharedAssignment:
         assert sampler.participation_probs[1] == pytest.approx(0.3)
         assert sampler.participation_probs[3] == pytest.approx(0.3)
 
-    def test_device_profiles_reexported_from_simulation(self):
-        from repro.federated import simulation
+    def test_device_profiles_reexported_from_federated(self):
+        import repro.federated as federated
 
-        assert simulation.DEVICE_PROFILES is DEVICE_PROFILES
-        assert simulation.EDGE_PHONE is EDGE_PHONE
+        assert federated.DEVICE_PROFILES is DEVICE_PROFILES
+        assert federated.EDGE_PHONE is EDGE_PHONE

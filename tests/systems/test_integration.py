@@ -13,10 +13,9 @@ from repro.federated import (
     FleetSimCallback,
     ScenarioConfig,
     SystemsConfig,
-    WallClockModel,
 )
 from repro.federated.builder import build_fleet_simulator
-from repro.systems import SimClock
+from repro.systems import FleetSimulator, SimClock, SynchronousPolicy
 from repro.systems.report import (
     simulated_time_curve,
     simulated_time_to_accuracy,
@@ -228,11 +227,18 @@ class TestPerClientTraffic:
                 record.downloaded_bytes
             )
 
-    def test_wall_clock_model_prices_per_client_when_available(self):
-        model = WallClockModel(
-            SCENARIO.build_fleet(4), flops_per_example=1e6, examples_per_round=100
+    def test_synchronous_pricing_uses_per_client_bytes_when_available(self):
+        model = FleetSimulator(
+            SCENARIO.build_fleet(4), SynchronousPolicy(),
+            flops_per_example=1e6, examples_per_round=100,
         )
-        from repro.federated import RoundRecord
+        from repro.federated import History, RoundRecord
+
+        def round_seconds(record):
+            run = History(algorithm="x")
+            run.append(record)
+            (seconds,) = model.simulate(run).round_seconds
+            return seconds
 
         base = dict(round_index=1, sampled_clients=[0, 1], train_loss=1.0)
 
@@ -246,7 +252,7 @@ class TestPerClientTraffic:
         )
         # The slow Pi (id 1) carries most of the bytes, so the skewed
         # round is strictly slower than the even-split approximation.
-        assert model.round_seconds(skewed) > model.round_seconds(even_split)
+        assert round_seconds(skewed) > round_seconds(even_split)
 
     def test_history_serialization_roundtrips_new_fields(self):
         result = run(

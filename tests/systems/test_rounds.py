@@ -1,5 +1,8 @@
 """Round policies and the FleetSimulator engine."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.federated import (
@@ -7,7 +10,6 @@ from repro.federated import (
     History,
     RASPBERRY_PI,
     RoundRecord,
-    WallClockModel,
 )
 from repro.systems import (
     AsyncBufferPolicy,
@@ -18,8 +20,14 @@ from repro.systems import (
     SystemsConfig,
     UPLOAD_DONE,
     build_round_policy,
-    build_timelines,
+    build_round_timelines,
 )
+
+#: Frozen from the retired ``WallClockModel`` (slowest sampled client plus
+#: overhead, on this same two-tier fleet and cost model).
+WALLCLOCK = json.loads(
+    Path(__file__).with_name("pricing_golden.json").read_text()
+)["wallclock"]
 
 TWO_TIER = Fleet(cycle=(EDGE_PHONE, RASPBERRY_PI))
 
@@ -57,42 +65,35 @@ def simulator(policy, fleet=TWO_TIER, **kwargs):
     return FleetSimulator(fleet, policy, **defaults)
 
 
+#: The histories the golden ``wallclock`` section priced.
+WALLCLOCK_HISTORIES = {
+    "even-split": lambda: history(
+        [record(i, clients=[0, 1, 2], up=2e6, down=3e6) for i in range(1, 6)]
+    ),
+    "per-client": lambda: history(
+        [
+            record(
+                1, clients=[0, 1, 5], up=5e6, down=4.5e6,
+                per_client={0: (4e5, 1e6), 1: (3.7e6, 2e6), 5: (9e5, 1.5e6)},
+            )
+        ]
+    ),
+    "mixed-cohorts": lambda: history(
+        [record(1, clients=[0, 3]), record(2, clients=[1])]
+    ),
+}
+
+
 class TestSynchronousParity:
-    """The pinned regression: sync policy == legacy WallClockModel, bitwise."""
+    """The pinned regression: sync policy == the frozen wall-clock totals."""
 
-    def legacy_model(self, overhead=0.5):
-        return WallClockModel(
-            (EDGE_PHONE, RASPBERRY_PI),
-            flops_per_example=1e6,
-            examples_per_round=100,
-            server_overhead_seconds=overhead,
+    @pytest.mark.parametrize("case", sorted(WALLCLOCK_HISTORIES))
+    def test_history_matches_golden_bit_for_bit(self, case):
+        report = simulator(SynchronousPolicy()).simulate(
+            WALLCLOCK_HISTORIES[case]()
         )
-
-    def test_even_split_history_matches_bit_for_bit(self):
-        run = history(
-            [record(i, clients=[0, 1, 2], up=2e6, down=3e6) for i in range(1, 6)]
-        )
-        report = simulator(SynchronousPolicy()).simulate(run)
-        assert report.total_seconds == self.legacy_model().total_seconds(run)
-
-    def test_per_client_traffic_history_matches_bit_for_bit(self):
-        per_client = {0: (4e5, 1e6), 1: (3.7e6, 2e6), 5: (9e5, 1.5e6)}
-        run = history(
-            [
-                record(
-                    1, clients=[0, 1, 5], up=5e6, down=4.5e6, per_client=per_client
-                )
-            ]
-        )
-        report = simulator(SynchronousPolicy()).simulate(run)
-        assert report.total_seconds == self.legacy_model().total_seconds(run)
-
-    def test_per_round_seconds_match_too(self):
-        run = history([record(1, clients=[0, 3]), record(2, clients=[1])])
-        report = simulator(SynchronousPolicy()).simulate(run)
-        model = self.legacy_model()
-        for outcome, rec in zip(report.outcomes, run.rounds):
-            assert outcome.round_seconds == model.round_seconds(rec)
+        assert report.round_seconds == WALLCLOCK[case]["round_seconds"]
+        assert report.total_seconds == WALLCLOCK[case]["total_seconds"]
 
     def test_no_stragglers_under_synchrony(self):
         run = history([record(1, clients=[0, 1, 2, 3])])
@@ -210,20 +211,25 @@ class TestDeterminism:
         assert a.round_seconds != c.round_seconds
 
     def test_upload_events_drain_in_arrival_order(self):
-        # Scalar pricing schedules one event per client phase; the vector
-        # path keeps the heap for cross-round carries only.
-        run = history([record(1, clients=[0, 1, 2, 3])])
-        report = simulator(SynchronousPolicy(), pricing="scalar").simulate(run)
+        # Async stragglers carried across round boundaries are the only
+        # scheduled events; their uploads drain in arrival order.
+        run = history(
+            [
+                record(1, clients=[0, 1, 2, 3, 4, 5]),
+                record(2, clients=[6, 8]),
+                record(3, clients=[10, 12]),
+            ]
+        )
+        report = simulator(AsyncBufferPolicy(buffer_size=1)).simulate(run)
         uploads = [e for e in report.trace if e.kind == UPLOAD_DONE]
-        assert len(uploads) == 4
+        assert len(uploads) == 5
         assert [e.time for e in uploads] == sorted(e.time for e in uploads)
 
-    def test_vector_pricing_drops_per_phase_events(self):
+    def test_synchronous_rounds_schedule_no_events(self):
         run = history([record(1, clients=[0, 1, 2, 3])])
-        vector = simulator(SynchronousPolicy()).simulate(run)
-        scalar = simulator(SynchronousPolicy(), pricing="scalar").simulate(run)
-        assert vector.trace == ()
-        assert vector.round_seconds == scalar.round_seconds
+        report = simulator(SynchronousPolicy()).simulate(run)
+        assert report.trace == ()
+        assert report.round_seconds == WALLCLOCK["four-clients"]["round_seconds"]
 
 
 class TestEngineProtocol:
@@ -242,16 +248,28 @@ class TestEngineProtocol:
 
     def test_repriced_late_delivery_leaves_no_stale_events(self):
         """A planned-delivered client whose actual bytes push its finish
-        past the close must not leak events into the next round's trace."""
-        engine = simulator(DeadlinePolicy(1.0), pricing="scalar")
-        # Estimate says client 0 (phone) makes the deadline easily...
-        engine.plan_round(1, [0], {0: (1e5, 1e5)})
-        # ...but the recorded actuals blow way past it.
-        late = record(1, clients=[0], per_client={0: (8e6, 8e6)})
-        engine.complete_round(late)
-        outcome = engine.observe(record(2, clients=[2], up=1e5, down=1e5))
-        assert all(e.round_index == 2 for e in outcome.events)
-        assert len(engine.clock) == 0
+        past the estimate must not leak events: under async carries the
+        queue only ever holds the uploads of clients still in flight."""
+        engine = simulator(AsyncBufferPolicy(buffer_size=2))
+        estimate = {cid: (1.6e6, 1.6e6) for cid in (0, 1, 2, 3)}
+        plan = engine.plan_round(1, [0, 1, 2, 3], estimate)
+        assert plan.delivered_ids == {0, 2}  # the estimate favours the phones
+        # ...but the recorded actuals make phone 0 the slowest of all, so
+        # the Pis' uploads land before the stretched close.
+        actual = {**estimate, 0: (8e6, 8e6)}
+        first = engine.complete_round(
+            record(1, clients=[0, 1, 2, 3], per_client=actual)
+        )
+        assert [e.client_id for e in first.events] == [1, 3]
+        assert sorted(engine.in_flight) == [1, 3] and len(engine.clock) == 0
+        second = engine.observe(record(2, clients=[4, 6], up=1.6e6, down=1.6e6))
+        assert [(d.client_id, d.staleness) for d in second.deliveries] == [
+            (1, 1),
+            (3, 1),
+        ]
+        assert second.events == ()
+        queued = engine.clock.pop_until(float("inf"))
+        assert sorted(e.client_id for e in queued) == sorted(engine.in_flight)
 
     def test_completion_reprices_from_the_record(self):
         engine = simulator(SynchronousPolicy())
@@ -280,7 +298,7 @@ class TestEngineProtocol:
 
 class TestTimelines:
     def test_phases_priced_from_profile_rates(self):
-        (timeline,) = build_timelines(
+        timelines = build_round_timelines(
             Fleet(cycle=(EDGE_PHONE,)),
             round_index=1,
             start=0.0,
@@ -289,13 +307,14 @@ class TestTimelines:
             flops_per_example=1e6,
             examples_per_round=100,
         )
+        timeline = timelines.view(0)
         assert timeline.upload_seconds == pytest.approx(1.0)  # 1 MB at 1 MB/s
         assert timeline.download_seconds == pytest.approx(1.0)  # 8 MB at 8 MB/s
         assert timeline.compute_seconds == pytest.approx(0.3)
         assert timeline.finish == pytest.approx(2.3)
 
     def test_missing_traffic_prices_compute_only(self):
-        (timeline,) = build_timelines(
+        timelines = build_round_timelines(
             Fleet(cycle=(EDGE_PHONE,)),
             round_index=1,
             start=0.0,
@@ -304,5 +323,6 @@ class TestTimelines:
             flops_per_example=1e6,
             examples_per_round=100,
         )
+        timeline = timelines.view(0)
         assert timeline.upload_seconds == 0.0
         assert timeline.duration == pytest.approx(0.3)
