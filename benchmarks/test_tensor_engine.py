@@ -1,25 +1,15 @@
-"""Tensor hot path: eager reference vs the lazy engine, per runtime.
+"""Tensor hot path: one benchmark row per model and pass.
 
-One benchmark row per (model, compute mode): the eager engine and a lazy
-scope for every registered runtime (numpy always; torch when importable).
 The timed unit is a full training step — forward, backward, SGD update —
-i.e. the paper's unit of local client work, plus a no-grad inference pass
-where elementwise fusion actually gets to collapse kernels.
+i.e. the paper's unit of local client work, plus a no-grad inference pass.
 """
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.engine import ComputeConfig, available_runtimes, compute_scope
 from repro.optim import SGD
 from repro.tensor import Tensor, no_grad
-
-MODES = [("eager", None)] + [
-    (f"lazy-{name}", ComputeConfig(engine="lazy", runtime=name))
-    for name in available_runtimes()
-]
-MODE_IDS = [mode for mode, _ in MODES]
 
 
 def make_mlp(rng):
@@ -61,34 +51,29 @@ def training_step(model, images, labels):
 
 
 @pytest.mark.benchmark(group="tensor-engine-mlp")
-@pytest.mark.parametrize("mode,config", MODES, ids=MODE_IDS)
-def test_mlp_training_step(benchmark, mode, config):
+def test_mlp_training_step(benchmark):
     rng = np.random.default_rng(0)
     model = make_mlp(rng)
     images = rng.normal(size=(32, 1, 28, 28))
     labels = rng.integers(0, 10, size=32)
-    with compute_scope(config):
-        benchmark(training_step(model, images, labels))
+    benchmark(training_step(model, images, labels))
 
 
 @pytest.mark.benchmark(group="tensor-engine-cnn")
-@pytest.mark.parametrize("mode,config", MODES, ids=MODE_IDS)
-def test_cnn_training_step(benchmark, mode, config):
+def test_cnn_training_step(benchmark):
     rng = np.random.default_rng(0)
     model = make_cnn(rng)
     images = rng.normal(size=(16, 1, 28, 28))
     labels = rng.integers(0, 10, size=16)
-    with compute_scope(config):
-        benchmark(training_step(model, images, labels))
+    benchmark(training_step(model, images, labels))
 
 
 @pytest.mark.benchmark(group="tensor-engine-inference")
-@pytest.mark.parametrize("mode,config", MODES, ids=MODE_IDS)
-def test_mlp_inference_batch(benchmark, mode, config):
-    """Forward-only under no_grad — the fully fusable path."""
+def test_mlp_inference_batch(benchmark):
+    """Forward-only under no_grad (the evaluation path)."""
     rng = np.random.default_rng(0)
     model = make_mlp(rng)
     model.eval()
     images = rng.normal(size=(64, 1, 28, 28))
-    with compute_scope(config), no_grad():
+    with no_grad():
         benchmark(lambda: model(Tensor(images)).data.argmax(axis=1))

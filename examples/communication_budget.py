@@ -15,7 +15,7 @@ Usage::
     python examples/communication_budget.py
 """
 
-from repro.federated import LocalTrainConfig, build_federation
+from repro.federated import Federation, FederationConfig, LocalTrainConfig
 from repro.pruning import UnstructuredConfig
 
 UPLOAD_BYTES_PER_SECOND = 1e6  # the paper's constrained-edge assumption
@@ -45,8 +45,8 @@ def main() -> None:
 
     results = {}
     for name, extra in algorithms.items():
-        trainer = build_federation(algorithm=name, **SETTINGS, **extra)
-        results[name] = trainer.run()
+        config = FederationConfig(algorithm=name, **SETTINGS, **extra)
+        results[name] = Federation.from_config(config).run()
 
     print(f"{'algorithm':>14} | {'total up+down':>13} | {'rounds->' + format(TARGET_ACCURACY, '.0%'):>10} | upload time @1MB/s")
     print("-" * 66)

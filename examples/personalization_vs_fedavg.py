@@ -19,7 +19,7 @@ with ``dataset`` one of mnist / emnist / cifar10 (default mnist).
 
 import sys
 
-from repro.federated import LocalTrainConfig, build_federation
+from repro.federated import Federation, FederationConfig, LocalTrainConfig
 from repro.pruning import UnstructuredConfig
 
 SETTINGS = dict(
@@ -34,8 +34,8 @@ SETTINGS = dict(
 
 
 def run(dataset: str, algorithm: str, **extra):
-    trainer = build_federation(dataset=dataset, algorithm=algorithm, **SETTINGS, **extra)
-    return trainer.run()
+    config = FederationConfig(dataset=dataset, algorithm=algorithm, **SETTINGS, **extra)
+    return Federation.from_config(config).run()
 
 
 def main() -> None:

@@ -1,19 +1,12 @@
-"""Lazy compute engine: op-graph recording, fusion, pluggable runtimes.
+"""The tensor engine: one op table, one dispatch point, numpy kernels.
 
-The tensor layer (:mod:`repro.tensor`) records every primitive through
-this package.  In the default **eager** mode each op's reference kernel
-runs immediately — the historical engine, bit for bit.  Under a **lazy**
-:class:`ComputeConfig` (``compute: {engine: lazy}`` in a run config, or
-``--runtime`` on the CLI), ops build a :class:`LazyBuffer` graph instead;
-the scheduler linearizes it at ``realize()`` points (``.data`` access,
-``backward()``, ``.item()``), fuses elementwise chains, folds movement
-ops into their consumers, and dispatches kernels through the
-``@register_runtime`` backend registry (``numpy`` reference kernels by
-default; a ``torch`` runtime auto-registers when torch is importable).
+The tensor layer (:mod:`repro.tensor`) executes every forward primitive
+through :func:`~repro.engine.runtime.run_kernel`, which runs the op's
+numpy reference kernel from the :data:`~repro.engine.ops.OPS` table
+immediately.  Each op declares its kind (elementwise / reduce / contract
+/ movement / other), so kernel time can be grouped by kind.
 """
 
-from .config import ComputeConfig
-from .lazy import MOVEMENT_OPS, STATS, KernelStats, LazyBuffer, wrap
 from .ops import (
     CONTRACT,
     ELEMENTWISE,
@@ -24,54 +17,15 @@ from .ops import (
     OpSpec,
     col2im,
     im2col,
-    infer_shape,
-    run_kernel,
 )
-from .runtime import (
-    NumpyRuntime,
-    Runtime,
-    RuntimeSpec,
-    active_runtime,
-    available_runtimes,
-    compute_scope,
-    fusion_enabled,
-    get_runtime,
-    get_runtime_spec,
-    register_runtime,
-    runtime_specs,
-    set_compute,
-    unregister_runtime,
-)
-from .schedule import realize_buffer
-from . import runtime_torch  # noqa: F401  (auto-registers torch when importable)
+from .runtime import run_kernel
 
 __all__ = [
-    "ComputeConfig",
-    "KernelStats",
-    "LazyBuffer",
-    "MOVEMENT_OPS",
-    "NumpyRuntime",
     "OPS",
     "OpSpec",
-    "Runtime",
-    "RuntimeSpec",
-    "STATS",
-    "active_runtime",
-    "available_runtimes",
     "col2im",
-    "compute_scope",
-    "fusion_enabled",
-    "get_runtime",
-    "get_runtime_spec",
     "im2col",
-    "infer_shape",
-    "realize_buffer",
-    "register_runtime",
     "run_kernel",
-    "runtime_specs",
-    "set_compute",
-    "unregister_runtime",
-    "wrap",
     "ELEMENTWISE",
     "REDUCE",
     "CONTRACT",

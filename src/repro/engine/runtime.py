@@ -1,192 +1,26 @@
-"""Pluggable realization backends: the ``@register_runtime`` registry.
+"""The single kernel dispatch point of the tensor engine.
 
-A :class:`Runtime` is where the lazy graph's kernels actually execute.
-The registry follows the repo-wide plugin convention (trainers, datasets,
-partitioners, samplers, fleets, round policies): a third-party backend
-registers itself with a decorator and immediately appears in ``repro
-list`` and the ``compute:`` config section::
-
-    from repro.engine import Runtime, register_runtime
-
-    @register_runtime("my-accel", summary="my accelerator backend")
-    class MyRuntime(Runtime):
-        def supports(self, op): return op in {"add", "mul", "matmul"}
-        def to_device(self, array): ...
-        def to_host(self, value): ...
-        def execute(self, op, attrs, args): ...
-
-Ops a runtime does not support — and every op with saved backward
-intermediates — fall back to the numpy reference kernels in
-:mod:`repro.engine.ops`, so a partial backend is still a correct one.
-
-The active compute mode is process-global (``None`` = the historical
-eager engine), entered via :func:`compute_scope` around a run; the
-:class:`~repro.federated.federation.Federation` facade does this from the
-config's ``compute:`` section.  Concurrent *threads* of one run share the
-mode; running two in-process federations under different compute configs
-concurrently is unsupported (the sweep engine's process executor
-isolates cells, so sweeps are unaffected).
+Every forward primitive the tensor layer executes goes through
+:func:`run_kernel`, which looks the op up in :data:`repro.engine.ops.OPS`
+and runs its numpy reference kernel.  Being the one choke point, it is
+also where a profiler can time kernels by op name and kind.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Type
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from .lazy import STATS
-from .ops import OPS, run_kernel
+from .ops import OPS
 
 
-class Runtime:
-    """Base class for realization backends.
-
-    Subclasses implement device transfer and per-op execution for the ops
-    they claim via :meth:`supports`; :meth:`run` (called by the scheduler)
-    routes everything else through the numpy reference kernels.
-    """
-
-    name = "base"
-
-    def supports(self, op: str) -> bool:
-        raise NotImplementedError
-
-    def to_device(self, array: np.ndarray):
-        """Upload a host ndarray to the runtime's native representation."""
-        return array
-
-    def to_host(self, value) -> np.ndarray:
-        """Download a runtime-native value back to a host ndarray."""
-        return value
-
-    def execute(self, op: str, attrs: Optional[Dict[str, Any]], args):
-        """Run one supported op over device values, returning a device value."""
-        raise NotImplementedError
-
-    def run(self, op: str, attrs: Optional[Dict[str, Any]], args) -> Tuple[Any, Any]:
-        """Execute ``op`` on this runtime, falling back to the reference kernels.
-
-        Returns ``(device_value, saved_or_None)``.  Saved-intermediate ops
-        (conv2d, max_pool2d, log_softmax) always use the reference kernels —
-        their saved arrays are consumed host-side by backward closures.
-        """
-        spec = OPS[op]
-        if spec.saves or not self.supports(op):
-            if self.name != "numpy":
-                STATS.fallbacks += 1
-            host = [a if isinstance(a, np.ndarray) else self.to_host(a) for a in args]
-            return run_kernel(op, attrs, host)
-        device = [self.to_device(a) if isinstance(a, np.ndarray) else a for a in args]
-        return self.execute(op, attrs, device), None
-
-
-@dataclass(frozen=True)
-class RuntimeSpec:
-    """Registry entry: a runtime backend and its one-line description."""
-
-    name: str
-    summary: str
-    cls: Type[Runtime]
-
-
-_RUNTIMES: Dict[str, RuntimeSpec] = {}
-_INSTANCES: Dict[str, Runtime] = {}
-
-
-def register_runtime(name: str, summary: str = ""):
-    """Class decorator registering a :class:`Runtime` under ``name``."""
-
-    def decorator(cls: Type[Runtime]) -> Type[Runtime]:
-        doc = (cls.__doc__ or "").strip().splitlines()
-        _RUNTIMES[name] = RuntimeSpec(name, summary or (doc[0] if doc else ""), cls)
-        cls.name = name
-        _INSTANCES.pop(name, None)
-        return cls
-
-    return decorator
-
-
-def unregister_runtime(name: str) -> RuntimeSpec:
-    """Remove one backend (plugin teardown / test isolation); returns it."""
-    if name == "numpy":
-        raise ValueError("the numpy reference runtime cannot be unregistered")
-    try:
-        spec = _RUNTIMES.pop(name)
-    except KeyError:
-        raise KeyError(f"no compute runtime is registered as {name!r}") from None
-    _INSTANCES.pop(name, None)
-    return spec
-
-
-def get_runtime_spec(name: str) -> RuntimeSpec:
-    try:
-        return _RUNTIMES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown compute runtime {name!r}; choose from {sorted(_RUNTIMES)}"
-        ) from None
-
-
-def get_runtime(name: str) -> Runtime:
-    """The (cached) runtime instance registered under ``name``."""
-    if name not in _INSTANCES:
-        _INSTANCES[name] = get_runtime_spec(name).cls()
-    return _INSTANCES[name]
-
-
-def available_runtimes() -> Tuple[str, ...]:
-    return tuple(_RUNTIMES)
-
-
-def runtime_specs() -> Tuple[RuntimeSpec, ...]:
-    return tuple(_RUNTIMES.values())
-
-
-@register_runtime("numpy", summary="reference kernels on host numpy (default)")
-class NumpyRuntime(Runtime):
-    """Reference runtime: every kernel is the eager engine's numpy expression."""
-
-    def supports(self, op: str) -> bool:
-        return op in OPS
-
-    def execute(self, op: str, attrs, args):
-        return OPS[op].kernel(attrs or {}, *args)
-
-
-# ----------------------------------------------------------------------
-# Active compute mode (None = eager, the historical engine)
-# ----------------------------------------------------------------------
-_ACTIVE: Optional[Runtime] = None
-_FUSION = True
-
-
-def active_runtime() -> Optional[Runtime]:
-    """The runtime lazy recording dispatches to, or None in eager mode."""
-    return _ACTIVE
-
-
-def fusion_enabled() -> bool:
-    return _FUSION
-
-
-def set_compute(config=None) -> None:
-    """Select the engine from a ``ComputeConfig`` (None → eager)."""
-    global _ACTIVE, _FUSION
-    if config is None or config.engine == "eager":
-        _ACTIVE, _FUSION = None, True
-    else:
-        _ACTIVE, _FUSION = get_runtime(config.runtime), config.fusion
-
-
-@contextmanager
-def compute_scope(config=None):
-    """Run a block under the compute mode described by ``config``."""
-    global _ACTIVE, _FUSION
-    previous = (_ACTIVE, _FUSION)
-    set_compute(config)
-    try:
-        yield
-    finally:
-        _ACTIVE, _FUSION = previous
+def run_kernel(
+    op: str, attrs: Optional[Dict[str, Any]], arrays
+) -> Tuple[np.ndarray, Optional[Dict[str, Any]]]:
+    """Execute ``op``'s reference kernel; returns ``(value, saved-or-None)``."""
+    spec = OPS[op]
+    out = spec.kernel(attrs or {}, *arrays)
+    if spec.saves:
+        return out
+    return out, None

@@ -23,8 +23,7 @@ histories guaranteed identical across backends.  Lifecycle callbacks (:class:`Pr
 :class:`FleetSimCallback`, or any :class:`Callback` subclass) observe and
 steer the round loop.  Device profiles, fleets and the
 :class:`FleetSimulator` that prices rounds in simulated seconds are
-re-exported from :mod:`repro.systems`.  ``build_federation`` and ``run_with_checkpoints``
-remain as thin shims over the same machinery.
+re-exported from :mod:`repro.systems`.
 """
 
 from .aggregation import (
@@ -66,7 +65,6 @@ from .execution import (
 from .builder import (
     FederationConfig,
     ModelFactory,
-    build_federation,
     build_trainer,
     make_clients,
     model_factory,
@@ -98,7 +96,6 @@ from .scenario import (
     unregister_sampler,
 )
 from ..data.partition import DataConfig
-from ..engine import ComputeConfig
 from .trainers import (
     FedAvg,
     FedMTL,
@@ -155,7 +152,7 @@ from ..systems import (
     fleet_specs,
     round_policy_specs,
 )
-from .checkpoint import load_checkpoint, run_with_checkpoints, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .evaluation import (
     FairnessReport,
     confusion_matrix,
@@ -175,7 +172,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "Federation",
-    "ComputeConfig",
     "FederationConfig",
     "ClientTask",
     "ClientUpdate",
@@ -236,7 +232,6 @@ __all__ = [
     "Standalone",
     "SubFedAvgUn",
     "SubFedAvgHy",
-    "build_federation",
     "build_trainer",
     "make_clients",
     "model_factory",
@@ -283,7 +278,6 @@ __all__ = [
     "WORKSTATION",
     "save_checkpoint",
     "load_checkpoint",
-    "run_with_checkpoints",
     "confusion_matrix",
     "per_class_accuracy",
     "model_confusion",

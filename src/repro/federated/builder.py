@@ -33,9 +33,6 @@ The canonical high-level entry point is the
 ...     num_clients=10, rounds=5, seed=0,
 ... ))
 >>> history = federation.run()  # doctest: +SKIP
-
-``build_federation(**kwargs)`` is kept as a thin shim over the same path
-for existing callers.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from typing import Any, Dict, List, Mapping
 
 from ..data import DataConfig, build_client_data, load_dataset
 from ..data.registry import get_dataset, get_partitioner
-from ..engine import ComputeConfig
 from ..models import create_model
 from ..pruning import StructuredConfig, UnstructuredConfig
 from ..systems import FleetSimulator, SystemsConfig, build_round_policy
@@ -69,7 +65,6 @@ _SECTION_TYPES = {
     "data": DataConfig,
     "scenario": ScenarioConfig,
     "systems": SystemsConfig,
-    "compute": ComputeConfig,
     "compression": CompressionConfig,
 }
 
@@ -146,7 +141,6 @@ class FederationConfig:
     data: DataConfig = field(default_factory=DataConfig)
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     systems: SystemsConfig | None = None  # fleet simulation (None = disabled)
-    compute: ComputeConfig = field(default_factory=ComputeConfig)
     local: LocalTrainConfig = field(default_factory=LocalTrainConfig)
     unstructured: UnstructuredConfig | None = None
     structured: StructuredConfig | None = None
@@ -202,8 +196,11 @@ class FederationConfig:
         Also accepts the historical flat schema (``n_train``,
         ``partition``, … at the top level, no ``data``/``scenario``
         sections), so stored PR-3-era payloads keep loading unchanged.
+        A retired top-level ``compute`` section (it chose between two
+        tensor engines computing identically) is dropped, whatever its
+        value, so those payloads load and hash as before.
         """
-        data = dict(payload)
+        data = {k: v for k, v in payload.items() if k != "compute"}
         known = {spec.name for spec in fields(cls)} | set(_FLAT_DATA_FIELDS)
         unknown = set(data) - known
         if unknown:
@@ -274,11 +271,6 @@ class FederationConfig:
             }
         if self.systems is not None:
             payload["systems"] = asdict(self.systems)
-        if self.compute != ComputeConfig():
-            # The compute engine choice joins the hash only when it leaves
-            # the historical eager default, so every pre-compute-section
-            # config keeps its stable_hash and stored results still resume.
-            payload["compute"] = asdict(self.compute)
         if self.compression is not None:
             # Hash-gated like systems: absent ⇒ stable_hash unchanged, so
             # every pre-codec config keeps its historical hash.
@@ -496,16 +488,6 @@ def build_trainer(
             kwargs[section] = value
     kwargs.update(overrides)
     return spec.cls(**kwargs)
-
-
-def build_federation(**kwargs) -> FederatedTrainer:
-    """Deprecated shim: ``FederationConfig(**kwargs)`` → clients → trainer.
-
-    Prefer ``Federation.from_config(FederationConfig(...))``, which keeps
-    the config attached to the run.
-    """
-    config = FederationConfig(**kwargs)
-    return build_trainer(config, make_clients(config))
 
 
 def __getattr__(name: str):

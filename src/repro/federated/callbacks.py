@@ -14,8 +14,7 @@ accepts a list of callbacks and invokes, in list order:
 * ``on_run_end(trainer, history)`` — once, after the final evaluation.
 
 Built-ins cover the common run furniture: :class:`ProgressLogger`,
-:class:`EarlyStopping` and :class:`CheckpointCallback` (the callback form
-of the old ``run_with_checkpoints`` driver).  Simulated fleet seconds come
+:class:`EarlyStopping` and :class:`CheckpointCallback`.  Simulated fleet seconds come
 from :class:`~repro.systems.callback.FleetSimCallback`, which
 :meth:`Federation.run <repro.federated.federation.Federation.run>` puts
 first for a run with a ``systems`` section, so every later callback sees
@@ -210,8 +209,7 @@ class EarlyStopping(Callback):
 class CheckpointCallback(Callback):
     """Snapshots the trainer every ``every`` rounds; resumes if a file exists.
 
-    The callback form of the old ``run_with_checkpoints`` driver: restoring
-    a checkpoint in ``on_run_start`` pre-populates the trainer's history,
+    Restoring a checkpoint in ``on_run_start`` pre-populates the trainer's history,
     which makes the round loop skip the already-completed rounds.
     """
 

@@ -88,23 +88,6 @@ def load_checkpoint(path: PathLike, trainer: FederatedTrainer) -> int:
     return int(payload["completed_rounds"])
 
 
-def run_with_checkpoints(
-    trainer: FederatedTrainer,
-    path: PathLike,
-    every: int = 10,
-    resume: bool = True,
-) -> History:
-    """Deprecated shim over the callback API.
-
-    Equivalent to ``trainer.run(callbacks=[CheckpointCallback(path,
-    every=every, resume=resume)])``, which is the preferred spelling — it
-    composes with other callbacks (progress, early stopping, wall clock).
-    """
-    from .callbacks import CheckpointCallback
-
-    return trainer.run(callbacks=[CheckpointCallback(path, every=every, resume=resume)])
-
-
 def _history_to_dict(history: History) -> dict:
     return {
         "algorithm": history.algorithm,

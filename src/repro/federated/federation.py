@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Mapping, Optional
 
-from ..engine import compute_scope
 from ..systems.callback import FleetSimCallback
 from .builder import FederationConfig, build_trainer, make_clients
 from .client import FederatedClient
@@ -74,18 +73,13 @@ class Federation:
         (unless the caller passed one), so every round record carries its
         simulated fleet seconds and stragglers before the caller's
         callbacks log or checkpoint it.
-
-        The whole run executes under the config's ``compute:`` section —
-        the default eager engine, or lazy graph recording through the
-        selected runtime (:mod:`repro.engine`).
         """
         callbacks = list(callbacks or ())
         if self._trainer.fleet_sim is not None and not any(
             isinstance(callback, FleetSimCallback) for callback in callbacks
         ):
             callbacks.insert(0, FleetSimCallback())
-        with compute_scope(self.config.compute):
-            return self._trainer.run(callbacks=callbacks or None)
+        return self._trainer.run(callbacks=callbacks or None)
 
     @property
     def trainer(self) -> FederatedTrainer:

@@ -1,8 +1,7 @@
 """Reverse-mode autograd engine on numpy (the reproduction's PyTorch stand-in).
 
-Forward execution is delegated to :mod:`repro.engine` — eager reference
-kernels by default, lazy graph recording with fusion under a
-``compute: {engine: lazy}`` run config.
+Forward execution is delegated to :mod:`repro.engine`, which runs each
+op's numpy reference kernel immediately.
 """
 
 from .tensor import (

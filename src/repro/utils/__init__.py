@@ -1,8 +1,6 @@
-"""Shared utilities: seeding, logging, timing."""
+"""Shared utilities: seeding and serialization."""
 
 from .rng import seed_everything, spawn_rng
-from .logging import get_logger
-from .timer import Timer
 from .serialization import (
     history_from_dict,
     history_to_dict,
@@ -17,8 +15,6 @@ from .serialization import (
 __all__ = [
     "seed_everything",
     "spawn_rng",
-    "get_logger",
-    "Timer",
     "save_state",
     "load_state",
     "save_mask",

@@ -92,6 +92,7 @@ class TestConfigRuns:
             "scenario.dropout=1.5",     # rejected value -> ValueError
             "data.partition=bogus",     # unknown registry name -> KeyError
             "malformed",                # no '=' at all
+            "compute.fusion=false",     # retired section -> unset
         ):
             with pytest.raises(SystemExit):
                 main(["run", "--dataset", "mnist", "--algorithm", "fedavg",

@@ -264,6 +264,24 @@ class TestResume:
         assert result.executed == [cell.key]
         assert result[cell.key].ok
 
+    def test_cell_written_with_a_compute_section_still_loads(self, tmp_path):
+        """Stores written while configs carried the retired ``compute``
+        section still resume instead of recomputing."""
+        store = ResultStore(tmp_path)
+        cell = tiny_cell()
+        first = run_sweep([cell], store=store)
+        path = store.path_for(cell.config_hash)
+        payload = json.loads(path.read_text())
+        payload["config"]["compute"] = {
+            "engine": "eager", "runtime": "numpy", "fusion": True,
+        }
+        path.write_text(json.dumps(payload))
+        loaded = store.load(cell.config_hash)
+        assert loaded is not None and loaded.config == cell.config
+        again = run_sweep([cell], store=store)
+        assert again.executed == [] and again.reused == [cell.key]
+        assert again[cell.key].history == first[cell.key].history
+
     def test_duplicate_cells_compute_once(self):
         result = run_sweep([tiny_cell("x"), tiny_cell("y")])
         assert result.executed == ["x"]

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.federated import (
+    CheckpointCallback,
     FedAvg,
     FederationConfig,
     LocalTrainConfig,
     load_checkpoint,
     make_clients,
-    run_with_checkpoints,
     save_checkpoint,
 )
 from repro.federated.builder import build_trainer, model_factory
@@ -29,6 +29,10 @@ def make_config(algorithm="sub-fedavg-un", rounds=4):
 
 def make_trainer(config):
     return build_trainer(config, make_clients(config))
+
+
+def run_checkpointed(trainer, path, every, resume=True):
+    return trainer.run(callbacks=[CheckpointCallback(path, every=every, resume=resume)])
 
 
 class TestSaveLoad:
@@ -81,11 +85,11 @@ class TestSaveLoad:
             load_checkpoint(path, other)
 
 
-class TestRunWithCheckpoints:
+class TestCheckpointedRun:
     def test_completes_and_checkpoints(self, tmp_path):
         trainer = make_trainer(make_config(rounds=4))
         path = tmp_path / "ckpt.pkl"
-        history = run_with_checkpoints(trainer, path, every=2)
+        history = run_checkpointed(trainer, path, every=2)
         assert len(history.rounds) == 4
         assert history.final_accuracy is not None
         assert path.exists()
@@ -94,11 +98,11 @@ class TestRunWithCheckpoints:
         path = tmp_path / "ckpt.pkl"
         # Run the first half and checkpoint.
         first = make_trainer(make_config(rounds=2))
-        run_with_checkpoints(first, path, every=1)
+        run_checkpointed(first, path, every=1)
 
         # Resume into a 4-round trainer: only rounds 3-4 should execute.
         resumed = make_trainer(make_config(rounds=4))
-        history = run_with_checkpoints(resumed, path, every=1, resume=True)
+        history = run_checkpointed(resumed, path, every=1, resume=True)
         assert len(history.rounds) == 4
         assert history.rounds[0].round_index == 1  # restored from checkpoint
         assert history.rounds[-1].round_index == 4
@@ -106,12 +110,12 @@ class TestRunWithCheckpoints:
     def test_no_resume_starts_fresh(self, tmp_path):
         path = tmp_path / "ckpt.pkl"
         first = make_trainer(make_config(rounds=2))
-        run_with_checkpoints(first, path, every=1)
+        run_checkpointed(first, path, every=1)
         fresh = make_trainer(make_config(rounds=2))
-        history = run_with_checkpoints(fresh, path, every=1, resume=False)
+        history = run_checkpointed(fresh, path, every=1, resume=False)
         assert len(history.rounds) == 2
 
     def test_invalid_every(self, tmp_path):
         trainer = make_trainer(make_config())
         with pytest.raises(ValueError):
-            run_with_checkpoints(trainer, tmp_path / "x.pkl", every=0)
+            run_checkpointed(trainer, tmp_path / "x.pkl", every=0)

@@ -1,6 +1,7 @@
 """The Federation facade and FederationConfig serialization round-trips."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -183,6 +184,47 @@ class TestLegacyConfigMigration:
             legacy_run.final_per_client_accuracy
             == nested_run.final_per_client_accuracy
         )
+
+
+class TestRetiredComputeSection:
+    """Configs exported before the lazy tensor engine was retired carry a
+    top-level ``compute`` section.  Both engines computed identically, so
+    it is dropped on load, whatever its value; hashes pinned from that
+    tree keep every stored sweep cell resumable."""
+
+    DEFAULT_HASH = "ea33c077823cacd9"
+
+    def test_default_hashes_unchanged(self):
+        config = FederationConfig(dataset="mnist", algorithm="fedavg")
+        assert config.stable_hash() == self.DEFAULT_HASH
+        small = FederationConfig(
+            dataset="mnist", algorithm="fedavg", num_clients=4, rounds=1, seed=0
+        )
+        assert small.stable_hash() == "70451bccff9b90c5"
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            {"engine": "eager", "runtime": "numpy", "fusion": True},
+            # hashed f5973a69b9f6b4ac while the section existed
+            {"engine": "lazy", "runtime": "numpy", "fusion": False},
+        ],
+        ids=["eager", "lazy"],
+    )
+    def test_legacy_compute_key_is_dropped_on_load(self, compute):
+        config = FederationConfig(dataset="mnist", algorithm="fedavg")
+        payload = config.to_dict()
+        payload["compute"] = compute
+        loaded = FederationConfig.from_dict(payload)
+        assert loaded == config
+        assert loaded.stable_hash() == self.DEFAULT_HASH
+        assert FederationConfig.from_json(json.dumps(payload)) == config
+
+    def test_compute_is_no_longer_a_field(self):
+        config = FederationConfig(dataset="mnist", algorithm="fedavg")
+        assert "compute" not in config.to_dict()
+        with pytest.raises(TypeError):
+            FederationConfig(dataset="mnist", compute={"engine": "eager"})
 
 
 class TestFederationFacade:

@@ -7,7 +7,6 @@ from repro.federated import (
     FederationConfig,
     History,
     LocalTrainConfig,
-    build_federation,
     build_trainer,
     make_clients,
 )
@@ -28,7 +27,8 @@ FAST = dict(
 def run(algorithm, **overrides):
     kwargs = dict(FAST, dataset="mnist", algorithm=algorithm)
     kwargs.update(overrides)
-    trainer = build_federation(**kwargs)
+    config = FederationConfig(**kwargs)
+    trainer = build_trainer(config, make_clients(config))
     return trainer, trainer.run()
 
 
@@ -123,9 +123,8 @@ class TestSubFedAvgMechanics:
 class TestBuilder:
     def test_unknown_algorithm_raises(self):
         with pytest.raises(KeyError):
-            build_federation(dataset="mnist", algorithm="bogus", **{
-                k: v for k, v in FAST.items()
-            })
+            config = FederationConfig(dataset="mnist", algorithm="bogus", **FAST)
+            build_trainer(config, make_clients(config))
 
     def test_unknown_dataset_raises(self):
         with pytest.raises(KeyError):

@@ -1,12 +1,8 @@
-"""Utility helpers: RNG fan-out, timers, logging."""
-
-import logging
-import time
+"""Utility helpers: RNG fan-out."""
 
 import numpy as np
-import pytest
 
-from repro.utils import Timer, get_logger, seed_everything, spawn_rng
+from repro.utils import seed_everything, spawn_rng
 from repro.utils.rng import hash_stable
 
 
@@ -34,35 +30,3 @@ class TestRng:
         assert hash_stable("abc") == hash_stable("abc")
         assert hash_stable("abc") != hash_stable("abd")
 
-
-class TestTimer:
-    def test_context_manager(self):
-        with Timer() as timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.01
-
-    def test_lap_without_stop(self):
-        timer = Timer().start()
-        assert timer.lap() >= 0.0
-
-    def test_stop_before_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-        with pytest.raises(RuntimeError):
-            Timer().lap()
-
-
-class TestLogger:
-    def test_namespaced(self):
-        logger = get_logger("test")
-        assert logger.name == "repro.test"
-
-    def test_idempotent_handlers(self):
-        a = get_logger("dup")
-        b = get_logger("dup")
-        assert a is b
-        assert len(a.handlers) == 1
-
-    def test_level_setting(self):
-        logger = get_logger("lvl", level=logging.DEBUG)
-        assert logger.level == logging.DEBUG
