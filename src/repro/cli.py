@@ -84,7 +84,6 @@ from .experiments import (
     smoke_spec,
     table1_spec,
 )
-from .experiments.sweep import SWEEP_EXECUTORS
 from .federated import (
     Federation,
     FederationConfig,
@@ -186,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker count for thread/process backends (default: cpu count)",
+        help="worker count for thread/process backends (default: one per usable CPU)",
     )
     scenario_flags(run_cmd)
     run_cmd.add_argument(
@@ -220,13 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=0,
-        help="concurrent cells (0 = one per CPU core)",
+        help="concurrent cells (0 = one per usable CPU)",
     )
     sweep.add_argument(
         "--executor",
-        choices=SWEEP_EXECUTORS,
-        default=None,
-        help="how cells run (default: process where fork exists, else thread)",
+        choices=available_backends(),
+        default="process",
+        help="execution backend the cells run on (default: process, which "
+        "forks where fork exists and spawns elsewhere)",
     )
     sweep.add_argument(
         "--out",
@@ -526,13 +526,6 @@ SWEEP_GRIDS = {
 }
 
 
-def _default_sweep_executor() -> str:
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    return "process" if "fork" in methods else "thread"
-
-
 def _cmd_sweep(args) -> int:
     if args.grid == "smoke" and (args.dataset != "mnist" or args.preset != "smoke"):
         print(
@@ -582,12 +575,11 @@ def _cmd_sweep(args) -> int:
                 f"their own scenario (e.g. {pinned[0]})",
                 file=sys.stderr,
             )
-    executor = args.executor or _default_sweep_executor()
     runner = SweepRunner(
         spec,
         store=ResultStore(args.out),
         jobs=args.jobs,
-        executor=executor,
+        executor=args.executor,
         resume=args.resume,
     )
     result = runner.run()
@@ -612,7 +604,7 @@ def _cmd_sweep(args) -> int:
     print(
         f"sweep {spec.name!r}: executed {len(result.executed)} cells, "
         f"reused {len(result.reused)} cached, {len(result.failed)} failed "
-        f"(jobs={runner.jobs}, executor={executor}, store={args.out})"
+        f"(jobs={runner.jobs}, executor={args.executor}, store={args.out})"
     )
     if args.export_json:
         Path(args.export_json).write_text(export_results(result.ordered()))

@@ -13,11 +13,11 @@ turns such a grid into three composable pieces:
   content hash (:meth:`FederationConfig.stable_hash` over canonical JSON),
   so an interrupted sweep resumes instead of recomputing and the artifacts
   are machine-readable.
-* :class:`SweepRunner` — executes the pending cells concurrently on a
-  ``serial``/``thread``/``process`` executor (the same worker plumbing and
-  naming as the round-level :mod:`~repro.federated.execution` backends,
-  one level up: whole runs instead of single clients).  A failing cell is
-  isolated — its error is recorded and every other cell still completes.
+* :class:`SweepRunner` — executes the pending cells concurrently with the
+  ``map`` of a round-level :mod:`~repro.federated.execution` backend
+  (``serial``, ``thread``, ``process`` or ``process-spawn``), one level
+  up: whole runs instead of single clients.  A failing cell is isolated —
+  its error is recorded and every other cell still completes.
 
 Determinism contract: a cell is built from its config alone (fresh
 federation, per-client RNG streams), so a sweep cell's history is
@@ -32,13 +32,12 @@ import itertools
 import json
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..federated import Federation, FederationConfig
-from ..federated.execution import WorkerPool, default_worker_count
+from ..federated.execution import default_worker_count, resolve_backend
 from ..federated.metrics import History
 from ..pruning import StructuredConfig, UnstructuredConfig
 from ..utils.serialization import history_from_dict, history_to_dict
@@ -48,10 +47,6 @@ from .runner import federation_config
 #: Result-store schema version, bumped on layout changes so stale caches
 #: are recomputed rather than misread.
 SCHEMA_VERSION = 1
-
-#: Executor names accepted by :class:`SweepRunner` (mirrors the
-#: round-level backend names in ``repro.federated.execution``).
-SWEEP_EXECUTORS = ("serial", "thread", "process")
 
 
 # ----------------------------------------------------------------------
@@ -275,10 +270,9 @@ class ResultStore:
 def _execute_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run one cell from a picklable payload; never raises.
 
-    Module-level so the process executor can ship it to fork workers; the
-    thread and serial executors call it directly.  Any exception becomes an
-    ``error`` string in the returned payload — one bad cell must not kill
-    the sweep.
+    Module-level so a ``process-spawn`` backend can pickle it by name.
+    Any exception becomes an ``error`` string in the returned payload —
+    one bad cell must not kill the sweep.
     """
     started = time.perf_counter()
     try:
@@ -356,17 +350,17 @@ class SweepError(RuntimeError):
 class SweepRunner:
     """Execute a grid's cells concurrently with cache-based resume.
 
-    ``jobs`` counts concurrent cells (0 = one per CPU); ``executor`` picks
-    how they run: ``"serial"`` in the calling thread, ``"thread"`` on a
-    thread pool (local SGD is GIL-releasing BLAS, so cells overlap), or
-    ``"process"`` on a persistent
-    :class:`~repro.federated.execution.WorkerPool` (full isolation, the
-    default for multi-core sweeps; fork where available, spawn
-    otherwise).  A shared ``pool`` reuses its workers across several
-    runners — grid after grid on one warm pool.  With ``resume=True``
-    cells whose hash is already in the store are loaded, not recomputed
-    — an interrupted sweep picks up where it stopped, and a completed
-    one is a no-op.
+    ``jobs`` counts concurrent cells (0 = one per usable CPU);
+    ``executor`` names the execution backend whose ``map`` runs them (any
+    of :func:`~repro.federated.execution.available_backends`):
+    ``"serial"`` in the calling thread, ``"thread"`` on a thread pool
+    (local SGD is GIL-releasing BLAS, so cells overlap), ``"process"`` on
+    a process pool (full isolation; fork where available, spawn
+    otherwise) or ``"process-spawn"``.  A cell may itself run on any
+    backend, process pools included.  With ``resume=True`` cells whose
+    hash is already in the store are loaded, not recomputed — an
+    interrupted sweep picks up where it stopped, and a completed one is
+    a no-op.
     """
 
     def __init__(
@@ -376,19 +370,13 @@ class SweepRunner:
         jobs: int = 1,
         executor: str = "serial",
         resume: bool = True,
-        pool: Optional[WorkerPool] = None,
     ) -> None:
-        if executor not in SWEEP_EXECUTORS:
-            raise KeyError(
-                f"unknown sweep executor {executor!r}; "
-                f"choose from {sorted(SWEEP_EXECUTORS)}"
-            )
         self.cells = spec.expand() if isinstance(spec, SweepSpec) else list(spec)
         self.store = store if store is not None else ResultStore()
         self.jobs = default_worker_count(jobs)
+        self.backend = resolve_backend(executor, self.jobs)
         self.executor = executor
         self.resume = resume
-        self.pool = pool
 
     def run(self) -> SweepResult:
         """Run (or load) every cell; one failing cell never kills the rest."""
@@ -412,7 +400,10 @@ class SweepRunner:
             }
             for cell in pending
         ]
-        outcomes = self._map(payloads)
+        try:
+            outcomes = self.backend.map(_execute_payload, payloads)
+        finally:
+            self.backend.close()
         for cell, outcome in zip(pending, outcomes):
             history = outcome["history"]
             result = CellResult(
@@ -456,19 +447,6 @@ class SweepRunner:
                 # from the store, or a duplicate of a cell computed above
                 sweep.reused.append(cell.key)
         return sweep
-
-    def _map(self, payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        if not payloads:
-            return []
-        if self.executor == "serial" or len(payloads) == 1 or self.jobs == 1:
-            return [_execute_payload(payload) for payload in payloads]
-        if self.executor == "thread":
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                return list(pool.map(_execute_payload, payloads))
-        if self.pool is not None:
-            return self.pool.map(_execute_payload, payloads)
-        with WorkerPool(workers=min(self.jobs, len(payloads))) as pool:
-            return pool.map(_execute_payload, payloads)
 
 
 def run_sweep(

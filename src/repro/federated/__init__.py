@@ -56,7 +56,6 @@ from .execution import (
     SerialBackend,
     SpawnProcessBackend,
     ThreadBackend,
-    WorkerPool,
     available_backends,
     resolve_backend,
     resolve_start_method,
@@ -180,7 +179,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "SpawnProcessBackend",
-    "WorkerPool",
     "WIRE_VERSION",
     "available_backends",
     "resolve_backend",

@@ -4,20 +4,23 @@ Trainers describe one communication round as a list of declarative
 :class:`ClientTask` objects — *which* client does *what* (train against the
 global weights, fine-tune-and-evaluate, …) — and hand the list to
 :meth:`FederatedTrainer.execute`, which delegates to an
-:class:`ExecutionBackend`:
+:class:`ExecutionBackend`.  Each backend offers one in-order
+``map(fn, items)``, the only parallel primitive in the repo: its ``run``
+is a thin call over that ``map``, and the sweep engine maps whole runs
+over the same backends, one level up.
 
 * :class:`SerialBackend` — runs tasks in order in the calling thread.
   The default; bit-identical to the historical hand-rolled ``for`` loops.
-* :class:`ThreadBackend` — a thread pool.  Local training is dominated by
-  numpy/BLAS kernels that release the GIL, so sampled clients genuinely
-  overlap.  Clients are disjoint per task and each owns its own seeded
-  RNG stream, so results do not depend on scheduling.
-* :class:`ProcessBackend` — a process pool.  Under ``fork`` workers
-  inherit the clients (and global state) copy-on-write per batch; under
-  ``spawn`` a persistent :class:`WorkerPool` receives picklable task
-  payloads.  Either way workers ship a picklable :class:`ClientUpdate`
-  (plus a :class:`ClientSync` of mutated client state) back to the
-  parent, which re-applies it in task order.
+* :class:`ThreadBackend` — a thread pool per batch.  Local training is
+  dominated by numpy/BLAS kernels that release the GIL, so sampled
+  clients genuinely overlap.  Clients are disjoint per task and each owns
+  its own seeded RNG stream, so results do not depend on scheduling.
+* :class:`ProcessBackend` — a process pool.  Under ``fork`` each batch's
+  workers inherit the clients (and global state) copy-on-write; under
+  ``spawn`` one persistent executor receives picklable task payloads.
+  Either way workers ship a picklable :class:`ClientUpdate` (plus a
+  :class:`ClientSync` of mutated client state) back to the parent, which
+  re-applies it in task order.
 
 Determinism contract: every backend returns updates in **task order**, and
 all client-side randomness comes from per-client generators
@@ -30,13 +33,13 @@ objects.
 from __future__ import annotations
 
 import base64
+import itertools
 import multiprocessing
 import os
 import pickle
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..pruning import MaskSet
 
@@ -306,18 +309,30 @@ def _run_evaluate(client, task: ClientTask, global_state: State) -> ClientUpdate
 
 def default_worker_count(workers: int = 0) -> int:
     """Resolve a worker-count setting: positive values pass through, 0/None
-    means one worker per CPU.  Shared by the round-level backends here and
-    the grid-level :class:`~repro.experiments.sweep.SweepRunner`."""
+    means one worker per CPU this process may run on (the affinity mask,
+    so ``taskset`` or a cpuset is not oversubscribed)."""
     if workers and workers > 0:
         return int(workers)
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return max(1, os.cpu_count() or 1)
 
 
-_default_workers = default_worker_count  # backward-compatible alias
+def _bound_tasks(tasks, clients, global_state):
+    """Lazy ``(task, client, global_state)`` triples.  Each client is looked
+    up in the calling thread as its triple is drawn: a
+    :class:`~repro.federated.pool.ClientPool` is not thread-safe."""
+    return ((task, clients[task.client_index], global_state) for task in tasks)
+
+
+def _run_bound_task(bound: Tuple[ClientTask, Any, State]) -> ClientUpdate:
+    task, client, global_state = bound
+    return run_client_task(client, task, global_state)
 
 
 class ExecutionBackend:
-    """Strategy interface: run a batch of tasks, return updates in order."""
+    """Strategy interface: an in-order parallel ``map``, and ``run``, which
+    executes a batch of client tasks and returns updates in task order."""
 
     name = "abstract"
 
@@ -328,10 +343,17 @@ class ExecutionBackend:
     #: backend's parent side touch clients strictly sequentially.
     concurrent_in_process = False
 
+    def map(self, fn: Callable[[Any], Any], items: Sequence) -> List:
+        """``[fn(item) for item in items]`` on this backend's workers, in order."""
+        raise NotImplementedError
+
     def run(
         self, tasks: Sequence[ClientTask], clients: Sequence, global_state: State
     ) -> List[ClientUpdate]:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release any persistent workers (a no-op for most backends)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
@@ -345,11 +367,11 @@ class SerialBackend(ExecutionBackend):
     def __init__(self, workers: int = 0) -> None:  # signature-compatible
         del workers
 
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
     def run(self, tasks, clients, global_state):
-        return [
-            run_client_task(clients[task.client_index], task, global_state)
-            for task in tasks
-        ]
+        return self.map(_run_bound_task, _bound_tasks(tasks, clients, global_state))
 
 
 class ThreadBackend(ExecutionBackend):
@@ -359,19 +381,17 @@ class ThreadBackend(ExecutionBackend):
     concurrent_in_process = True
 
     def __init__(self, workers: int = 0) -> None:
-        self.workers = _default_workers(workers)
+        self.workers = default_worker_count(workers)
+
+    def map(self, fn, items):
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
+            return list(pool.map(fn, items))
 
     def run(self, tasks, clients, global_state):
+        bound = _bound_tasks(tasks, clients, global_state)
         if len(tasks) <= 1:
-            return SerialBackend().run(tasks, clients, global_state)
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [
-                pool.submit(
-                    run_client_task, clients[task.client_index], task, global_state
-                )
-                for task in tasks
-            ]
-            return [future.result() for future in futures]
+            return [_run_bound_task(item) for item in bound]
+        return self.map(_run_bound_task, bound)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ThreadBackend(workers={self.workers})"
@@ -398,46 +418,95 @@ def resolve_start_method(start_method: Optional[str] = None) -> str:
     return start_method
 
 
-class WorkerPool:
-    """A persistent, start-method-aware process pool.
+def _process_entry(bound: Tuple[ClientTask, Any, State]) -> ClientUpdate:
+    """Worker-side unit of work: a bound task whose update also carries the
+    client state it mutated, for the parent to replay."""
+    task, client, global_state = bound
+    return run_client_task(
+        client, task, global_state, with_sync=task.kind == "train"
+    )
 
-    Created lazily on the first :meth:`map` and reused until
-    :meth:`close` — so the round-level :class:`ProcessBackend` amortizes
-    worker startup across every round of a run, and the sweep engine
-    amortizes it across grid cells.  Workers are stateless: every call
-    ships fully picklable payloads, which is what makes the same code
-    path correct under both ``fork`` and ``spawn``.
+
+#: ``fork`` batches in flight, by id: ``(fn, items)`` that a batch's
+#: workers inherit copy-on-write instead of unpickling.  Keyed so that
+#: batches started from several threads, or from inside a worker of
+#: another batch, never see each other's items.
+_FORK_BATCHES: Dict[int, Tuple[Callable[[Any], Any], Sequence]] = {}
+_fork_batch_ids = itertools.count()
+
+
+def _fork_call(batch: int, index: int):
+    """Worker-side unit of work under ``fork``: everything is inherited."""
+    fn, items = _FORK_BATCHES[batch]
+    return fn(items[index])
+
+
+class ProcessBackend(ExecutionBackend):
+    """Process-pool execution, dispatch strategy chosen by start method.
+
+    ``map`` runs on :class:`concurrent.futures.ProcessPoolExecutor`, whose
+    workers are not daemonic, so a mapped function may itself use a
+    process backend (a sweep cell whose federation runs on ``process``).
+    A single item runs inline: no pool is worth starting for it.
+
+    * ``fork`` — each batch forks a short-lived pool whose workers
+      inherit ``fn`` and the items copy-on-write and are sent only an
+      index, so *nothing* ships on the way in (only results pickle
+      back).  Fork startup is a syscall, far cheaper than serializing
+      every client's model **and dataset** per task into a persistent
+      pool.
+    * ``spawn`` — one persistent executor is reused across batches
+      (worker startup boots an interpreter, so persistence is what pays)
+      and ``fn`` and each item ship pickled.
+
+    ``run`` maps ``(task, client, global_state)`` triples; each worker
+    returns a :class:`ClientUpdate` whose ``sync`` payload the parent
+    replays onto its own client, in task order, so the parent federation
+    ends the round in exactly the state a serial run produces.
     """
+
+    name = "process"
 
     def __init__(self, workers: int = 0, start_method: Optional[str] = None) -> None:
         self.workers = default_worker_count(workers)
         self.start_method = resolve_start_method(start_method)
-        self._pool = None
-        self._finalizer = None
+        self._executor = None  # the spawn path's persistent pool
 
-    def _ensure(self):
-        if self._pool is None:
+    def map(self, fn, items):
+        if len(items) <= 1:
+            return [fn(item) for item in items]
+        # Imported here: it would add startup time to every other backend.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        if self.start_method == "fork":
+            batch = next(_fork_batch_ids)
+            _FORK_BATCHES[batch] = (fn, items)
+            context = multiprocessing.get_context("fork")
+            try:
+                with ProcessPoolExecutor(
+                    min(self.workers, len(items)), mp_context=context
+                ) as pool:
+                    return list(
+                        pool.map(_fork_call, [batch] * len(items), range(len(items)))
+                    )
+            finally:
+                del _FORK_BATCHES[batch]
+        if self._executor is None:
             context = multiprocessing.get_context(self.start_method)
-            self._pool = context.Pool(self.workers)
-            # Reap workers when the pool object is garbage-collected even
-            # if close() was never called (interpreter shutdown safety).
-            self._finalizer = weakref.finalize(self, _terminate_pool, self._pool)
-        return self._pool
-
-    def map(self, fn, items: Sequence) -> List:
-        """``[fn(item) for item in items]`` on the workers, in order."""
-        items = list(items)
-        if not items:
-            return []
+            self._executor = ProcessPoolExecutor(self.workers, mp_context=context)
         try:
-            return self._ensure().map(fn, items)
+            return list(self._executor.map(fn, items))
+        except BrokenProcessPool:
+            self.close()  # a dead worker breaks the pool: start afresh next time
+            raise
         except Exception:
             # Pickling failures surface as various types (PicklingError,
             # AttributeError, TypeError) depending on the payload; probe
             # the payloads so the caller gets a diagnosis, not a hang dump.
-            for item in items:
+            for payload in (fn, *items):
                 try:
-                    pickle.dumps(item)
+                    pickle.dumps(payload)
                 except Exception as pickle_exc:
                     raise RuntimeError(
                         f"worker payloads must pickle for the "
@@ -446,119 +515,23 @@ class WorkerPool:
                     ) from pickle_exc
             raise
 
-    def close(self) -> None:
-        """Shut the workers down; the next :meth:`map` starts a fresh pool."""
-        if self._pool is not None:
-            if self._finalizer is not None:
-                self._finalizer.detach()
-                self._finalizer = None
-            _terminate_pool(self._pool)
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"WorkerPool(workers={self.workers}, "
-            f"start_method={self.start_method!r})"
-        )
-
-
-def _terminate_pool(pool) -> None:
-    pool.terminate()
-    pool.join()
-
-
-def _process_entry(payload: Tuple[ClientTask, Any, State]) -> ClientUpdate:
-    """Worker-side unit of work: one (task, client, global_state) triple."""
-    task, client, global_state = payload
-    return run_client_task(
-        client, task, global_state, with_sync=task.kind == "train"
-    )
-
-
-#: Parent-side batch context a ``fork`` pool's workers inherit copy-on-write
-#: (set immediately before the pool is created, cleared right after map).
-_FORK_CONTEXT: Optional[Tuple[Sequence[ClientTask], Any, State]] = None
-
-
-def _fork_entry(index: int) -> ClientUpdate:
-    """Worker-side unit of work under ``fork``: everything is inherited."""
-    tasks, clients, global_state = _FORK_CONTEXT
-    task = tasks[index]
-    return run_client_task(
-        clients[task.client_index], task, global_state,
-        with_sync=task.kind == "train",
-    )
-
-
-class ProcessBackend(ExecutionBackend):
-    """Process-pool execution, dispatch strategy chosen by start method.
-
-    * ``fork`` — each batch forks a short-lived pool whose workers
-      inherit the tasks, clients and global state copy-on-write, so
-      *nothing* ships on the way in (only the :class:`ClientUpdate`
-      results pickle back).  Fork startup is a syscall, far cheaper than
-      serializing every client's model **and dataset** per task into a
-      persistent pool.
-    * ``spawn`` — a persistent :class:`WorkerPool` is reused across
-      rounds (worker startup boots an interpreter, so persistence is
-      what pays) and each task ships as a picklable
-      ``(task, client, global_state)`` payload.
-
-    Either way each worker returns a :class:`ClientUpdate` whose ``sync``
-    payload the parent replays onto its own client, in task order, so the
-    parent federation ends the round in exactly the state a serial run
-    produces.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int = 0, start_method: Optional[str] = None) -> None:
-        self.workers = _default_workers(workers)
-        self.pool = WorkerPool(workers=self.workers, start_method=start_method)
-
-    @property
-    def start_method(self) -> str:
-        return self.pool.start_method
-
     def run(self, tasks, clients, global_state):
-        tasks = list(tasks)
         if len(tasks) <= 1:
             return SerialBackend().run(tasks, clients, global_state)
-        if self.start_method == "fork":
-            updates = self._run_forked(tasks, clients, global_state)
-        else:
-            payloads = [
-                (task, clients[task.client_index], global_state)
-                for task in tasks
-            ]
-            updates = self.pool.map(_process_entry, payloads)
+        updates = self.map(
+            _process_entry, list(_bound_tasks(tasks, clients, global_state))
+        )
         for task, update in zip(tasks, updates):
             if update.sync is not None:
                 apply_sync(clients[task.client_index], update.sync)
                 update.sync = None
         return updates
 
-    def _run_forked(self, tasks, clients, global_state) -> List[ClientUpdate]:
-        global _FORK_CONTEXT
-        context = multiprocessing.get_context("fork")
-        # The context global must be in place *before* Pool() forks the
-        # workers: they snapshot it (and the clients it references) via
-        # copy-on-write page sharing, not via pickling.
-        _FORK_CONTEXT = (tasks, clients, global_state)
-        try:
-            with context.Pool(min(self.workers, len(tasks))) as pool:
-                return pool.map(_fork_entry, range(len(tasks)))
-        finally:
-            _FORK_CONTEXT = None
-
     def close(self) -> None:
-        self.pool.close()
+        """Shut the persistent pool down; the next ``map`` starts afresh."""
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

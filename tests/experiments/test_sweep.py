@@ -18,7 +18,7 @@ from repro.experiments import (
     run_sweep,
     smoke_spec,
 )
-from repro.federated import Federation, FederationConfig
+from repro.federated import Federation, FederationConfig, available_backends
 from repro.pruning import UnstructuredConfig
 
 
@@ -303,14 +303,33 @@ class TestResume:
 
 
 class TestParity:
-    def test_parallel_sweep_matches_serial_single_cell_runs(self, tmp_path):
+    @pytest.mark.parametrize("executor", available_backends())
+    def test_parallel_sweep_matches_serial_single_cell_runs(self, tmp_path, executor):
         cells = [tiny_cell("fedavg"), tiny_cell("standalone", algorithm="standalone")]
         store = ResultStore(tmp_path)
-        sweep = run_sweep(cells, store=store, jobs=2, executor="thread")
+        sweep = run_sweep(cells, store=store, jobs=2, executor=executor)
         sweep.raise_failures()
         for cell in cells:
             direct = Federation.from_config(cell.config).run()
             assert sweep[cell.key].history == direct
+
+    def test_process_sweep_runs_cells_on_process_backends(self):
+        """A process pool's workers may start process pools of their own:
+        a cell configured with ``backend="process"`` runs inside a
+        ``process`` sweep instead of failing on daemonic workers."""
+        cells = [
+            tiny_cell("nested-process", backend="process", workers=2),
+            tiny_cell("nested-thread", seed=1, backend="thread", workers=2),
+        ]
+        sweep = run_sweep(cells, jobs=2, executor="process")
+        assert sweep.failed == {}
+        for cell in cells:
+            direct = Federation.from_config(cell.config).run()
+            assert sweep[cell.key].history == direct
+
+    def test_unknown_executor_names_the_backends(self):
+        with pytest.raises(KeyError, match="unknown execution backend"):
+            SweepRunner([tiny_cell()], executor="bogus")
 
     def test_store_round_trip_preserves_history_exactly(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -1,9 +1,12 @@
 """Trajectory tracking, the report generator and new CLI subcommands."""
 
+import functools
+
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments import run_fig1_trajectory
+from repro.experiments import ResultStore, run_fig1_trajectory
+from repro.experiments import report as report_module
 from repro.experiments.report import build_report
 from repro.federated import FederationConfig, LocalTrainConfig, make_clients
 from repro.federated.builder import model_factory
@@ -58,14 +61,32 @@ class TestTrajectoryTracking:
             assert all(0.0 <= acc <= 1.0 for _, acc in curve)
 
 
+@pytest.fixture(scope="module")
+def report_store():
+    """One result store for every report test: the grid runs once, and the
+    later builds (library and CLI alike) reuse its cells."""
+    return ResultStore()
+
+
+@pytest.fixture
+def shared_report_store(report_store, monkeypatch):
+    """Route ``build_report`` (also behind ``repro report``) to the store."""
+    monkeypatch.setattr(
+        report_module, "build_report",
+        functools.partial(build_report, store=report_store),
+    )
+    return report_store
+
+
 class TestReportGenerator:
-    def test_builds_markdown(self):
-        text = build_report(datasets=("mnist",), preset="smoke", seed=0)
+    def test_builds_markdown(self, report_store):
+        text = build_report(datasets=("mnist",), preset="smoke", seed=0,
+                            store=report_store)
         assert "# Sub-FedAvg reproduction report" in text
         assert "Table 1" in text and "Table 2" in text
         assert "Figure 2" in text and "Figure 3" in text
 
-    def test_write_report(self, tmp_path):
+    def test_write_report(self, tmp_path, shared_report_store):
         from repro.experiments.report import write_report
 
         out = tmp_path / "report.md"
@@ -87,7 +108,7 @@ class TestNewCliCommands:
         out = capsys.readouterr().out
         assert "variant" in out and "step=" in out
 
-    def test_report_command(self, capsys, tmp_path):
+    def test_report_command(self, capsys, tmp_path, shared_report_store):
         out_path = tmp_path / "r.md"
         assert main(["report", "--dataset", "mnist", "--out", str(out_path)]) == 0
         assert out_path.exists()

@@ -7,6 +7,9 @@ client tasks are scheduled.
 """
 
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -23,13 +26,13 @@ from repro.federated import (
     SerialBackend,
     SpawnProcessBackend,
     ThreadBackend,
-    WorkerPool,
     available_backends,
     resolve_backend,
 )
 from repro.federated.execution import (
     WIRE_VERSION,
     ClientSync,
+    default_worker_count,
     resolve_start_method,
 )
 from repro.pruning import MaskSet
@@ -363,39 +366,94 @@ class TestWireSchema:
         np.testing.assert_array_equal(decoded.state["w"], expected["w"])
 
 
-class TestWorkerPool:
+class TestProcessMap:
+    """``ProcessBackend.map``: the spawn path's persistent executor."""
+
     def test_persists_across_maps(self):
-        pool = WorkerPool(workers=2)
+        backend = ProcessBackend(workers=2, start_method="spawn")
         try:
-            first = pool.map(_square, [1, 2, 3])
-            inner = pool._pool
-            second = pool.map(_square, [4, 5])
+            first = backend.map(_square, [1, 2, 3])
+            inner = backend._executor
+            second = backend.map(_square, [4, 5])
             assert first == [1, 4, 9] and second == [16, 25]
-            assert pool._pool is inner  # same pool object: workers reused
+            assert backend._executor is inner  # same executor: workers reused
         finally:
-            pool.close()
-        assert pool._pool is None
+            backend.close()
+        assert backend._executor is None
 
     def test_empty_map_never_spawns(self):
-        pool = WorkerPool(workers=2)
-        assert pool.map(_square, []) == []
-        assert pool._pool is None
+        backend = ProcessBackend(workers=2, start_method="spawn")
+        assert backend.map(_square, []) == []
+        assert backend._executor is None
 
-    def test_context_manager_closes(self):
-        with WorkerPool(workers=1) as pool:
-            assert pool.map(_square, [3]) == [9]
-        assert pool._pool is None
+    def test_close_shuts_the_executor_down(self):
+        backend = ProcessBackend(workers=1, start_method="spawn")
+        assert backend.map(_square, [3, 4]) == [9, 16]
+        executor = backend._executor
+        backend.close()
+        assert backend._executor is None
+        with pytest.raises(RuntimeError, match="shutdown"):
+            executor.submit(_square, 5)
 
     def test_unpicklable_payload_clear_error(self):
-        with WorkerPool(workers=1) as pool:
+        backend = ProcessBackend(workers=1, start_method="spawn")
+        try:
             with pytest.raises(RuntimeError, match="pickle"):
-                pool.map(_square, [lambda: None])
+                backend.map(_square, [2, lambda: None])
+        finally:
+            backend.close()
+
+    def test_dead_worker_resets_the_executor(self):
+        backend = ProcessBackend(workers=1, start_method="spawn")
+        try:
+            with pytest.raises(BrokenProcessPool):
+                backend.map(os._exit, [1, 1])
+            assert backend._executor is None
+            assert backend.map(_square, [2, 3]) == [4, 9]
+        finally:
+            backend.close()
+
+    def test_fork_map_inherits_unpicklable_items(self):
+        if resolve_start_method(None) != "fork":
+            pytest.skip("platform has no fork")
+        backend = ProcessBackend(workers=2, start_method="fork")
+        items = [lambda: 1, lambda: 2, lambda: 3]
+        assert backend.map(lambda item: item() * 10, items) == [10, 20, 30]
+        assert backend._executor is None
+
+    def test_concurrent_fork_batches_keep_their_own_items(self):
+        if resolve_start_method(None) != "fork":
+            pytest.skip("platform has no fork")
+        backend = ProcessBackend(workers=2, start_method="fork")
+        batches = [list(range(start, start + 5)) for start in range(0, 40, 5)]
+        with ThreadPoolExecutor(max_workers=4) as threads:
+            futures = [threads.submit(backend.map, _square, b) for b in batches]
+            results = [future.result(timeout=120) for future in futures]
+        assert results == [[v * v for v in batch] for batch in batches]
 
     def test_resolve_start_method(self):
         assert resolve_start_method(None) in ("fork", "spawn")
         assert resolve_start_method("spawn") == "spawn"
         with pytest.raises(RuntimeError, match="unavailable"):
             resolve_start_method("not-a-method")
+
+
+class TestBackendMap:
+    @pytest.mark.parametrize("name", available_backends())
+    def test_map_is_in_order_on_every_backend(self, name):
+        backend = resolve_backend(name, workers=2)
+        try:
+            assert backend.map(_square, [3, 1, 2, 5]) == [9, 1, 4, 25]
+            assert backend.map(_square, [7]) == [49]
+            assert backend.map(_square, []) == []
+        finally:
+            backend.close()
+
+
+def test_zero_workers_honour_the_cpu_affinity_mask(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    assert default_worker_count(0) == 1
+    assert ThreadBackend(workers=0).workers == 1
 
 
 def _square(value):
@@ -419,7 +477,7 @@ class TestSpawnBackend:
         assert_histories_identical(reference, candidate, "fedavg/process-spawn")
         backend = cand_fed.trainer.backend
         assert backend.start_method == "spawn"
-        assert backend.pool._pool is not None  # persistent: still warm
+        assert backend._executor is not None  # persistent: still warm
         backend.close()
 
     def test_fork_backend_skips_the_persistent_pool(self):
@@ -429,5 +487,5 @@ class TestSpawnBackend:
             pytest.skip("platform has no fork")
         _, federation = run_federation("fedavg", "process")
         backend = federation.trainer.backend
-        assert backend.pool._pool is None
+        assert backend._executor is None
         backend.close()
